@@ -39,14 +39,6 @@ setup(
         ],
     },
     extras_require={
-        # The stdlib HTTP/SSE server needs none of these; the extra
-        # only feeds the optional FastAPI adapter (repro.service.app)
-        # and its test client.  See docs/SERVICE.md.
-        "service": [
-            "fastapi",
-            "uvicorn",
-            "httpx",
-        ],
         # The C-backed ed25519 signature provider (repro.crypto.ed25519);
         # everything degrades gracefully to the pure-python schemes when
         # this is absent.  See docs/CRYPTO.md.

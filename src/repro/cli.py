@@ -1,29 +1,22 @@
 """Command-line experiment runner.
 
-Two interfaces share this entry point:
+Subcommands drive the declarative scenario engine in
+:mod:`repro.experiments`::
 
-* the original single-experiment flags (kept for quick pokes and
-  backwards compatibility)::
-
-      python -m repro --system fs-newtop --members 6 --messages 10
-      python -m repro --compare --members 8 --interval 150
-
-* the scenario/campaign subcommands driving the declarative engine in
-  :mod:`repro.experiments`::
-
-      python -m repro list
-      python -m repro run --scenario byzantine_flood
-      python -m repro campaign --scenario fig7_throughput --repeats 4 --jobs 4
-      python -m repro report --results results/fig7_throughput.jsonl
-      python -m repro audit --scenario adv_equivocation
-      python -m repro audit --scenario fig6_latency --adversary replay
-      python -m repro obs --scenario fig7_throughput --out obs.json
-      python -m repro obs --url http://127.0.0.1:9464/metrics
+    python -m repro list
+    python -m repro run --scenario byzantine_flood
+    python -m repro campaign --scenario fig7_throughput --repeats 4 --jobs 4
+    python -m repro report --results results/fig7_throughput.jsonl
+    python -m repro audit --scenario adv_equivocation
+    python -m repro audit --scenario fig6_latency --adversary replay
+    python -m repro obs --scenario fig7_throughput --out obs.json
+    python -m repro obs --url http://127.0.0.1:9464/metrics
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 
 from repro.analysis import (
@@ -34,10 +27,6 @@ from repro.analysis import (
     service_summary,
     shard_summary,
 )
-from repro.newtop.services import ServiceType
-from repro.workloads import run_ordering_experiment
-
-SUBCOMMANDS = ("list", "run", "campaign", "report", "bench", "audit", "serve", "obs")
 
 #: Metrics the report prints, in order, with display units.  The shard
 #: columns only appear for runs that carry them (sharded deployments);
@@ -95,44 +84,6 @@ def scenario_family(name: str) -> str:
     return "stress"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy single-experiment parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="FS-NewTOP reproduction: run one ordering experiment. "
-        "Scenario subcommands: " + ", ".join(SUBCOMMANDS),
-    )
-    parser.add_argument(
-        "--system",
-        choices=["newtop", "fs-newtop"],
-        default="fs-newtop",
-        help="which middleware stack to run (default: fs-newtop)",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="run both systems with identical workloads and show both",
-    )
-    parser.add_argument("--members", type=int, default=4, help="group size (default 4)")
-    parser.add_argument(
-        "--messages", type=int, default=10, help="multicasts per member (default 10)"
-    )
-    parser.add_argument(
-        "--interval", type=float, default=150.0, help="send interval in ms (default 150)"
-    )
-    parser.add_argument(
-        "--size", type=int, default=3, help="message payload bytes (default 3)"
-    )
-    parser.add_argument(
-        "--service",
-        choices=[s.value for s in ServiceType],
-        default=ServiceType.SYMMETRIC_TOTAL.value,
-        help="NewTOP service type (default symmetric_total)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    return parser
-
-
 def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
@@ -173,7 +124,7 @@ def build_command_parser() -> argparse.ArgumentParser:
         help="with --shards: fraction of writes spanning two shards "
         "(default: the scenario's, else 0)",
     )
-    _add_transport_arguments(run)
+    _add_overlay_arguments(run)
 
     campaign = sub.add_parser(
         "campaign", help="run a scenario's grid with repeats, in parallel, to JSONL"
@@ -259,7 +210,7 @@ def build_command_parser() -> argparse.ArgumentParser:
         default=5000.0,
         help="detection deadline after first manifestation, ms (default 5000)",
     )
-    _add_transport_arguments(audit)
+    _add_overlay_arguments(audit)
 
     serve = sub.add_parser(
         "serve",
@@ -286,7 +237,8 @@ def build_command_parser() -> argparse.ArgumentParser:
         type=float,
         help="serve for this many seconds, then exit (default: until Ctrl-C)",
     )
-    _add_transport_arguments(serve)
+    # No --obs-port: the gateway serves GET /metrics on its own port.
+    _add_overlay_arguments(serve, obs_port=False)
 
     obs = sub.add_parser(
         "obs",
@@ -308,12 +260,14 @@ def build_command_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--out", help="write the JSON here instead of stdout"
     )
-    _add_transport_arguments(obs)
+    _add_overlay_arguments(obs)
     return parser
 
 
-def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--transport`` overlay flags (run and audit)."""
+def _add_overlay_arguments(
+    parser: argparse.ArgumentParser, obs_port: bool = True
+) -> None:
+    """The shared overlay flags read by :func:`overlay_overrides`."""
     parser.add_argument(
         "--transport",
         choices=("sim", "asyncio"),
@@ -339,72 +293,19 @@ def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
         "spec's cost-model deadlines",
     )
     parser.add_argument(
-        "--obs-port",
-        type=int,
-        help="force observability on and, with --transport asyncio, serve "
-        "GET /metrics on this port during the run (0 = pick a free one)",
-    )
-    parser.add_argument(
         "--crypto",
         metavar="PROVIDER[:CODEC]",
         help="crypto overlay for fs-newtop runs: signature provider "
         "(rsa/hmac/ed25519) with an optional signing+framing codec "
         "(canonical/binwire), e.g. 'ed25519:binwire'",
     )
-
-
-# ----------------------------------------------------------------------
-# legacy single-experiment path
-# ----------------------------------------------------------------------
-def _run(system: str, args: argparse.Namespace):
-    return run_ordering_experiment(
-        system,
-        args.members,
-        seed=args.seed,
-        messages_per_member=args.messages,
-        interval=args.interval,
-        message_size=args.size,
-        service=args.service,
-    )
-
-
-def _legacy_main(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.members < 1:
-        print("error: --members must be >= 1")
-        return 2
-    systems = ["newtop", "fs-newtop"] if args.compare else [args.system]
-    results = {system: _run(system, args) for system in systems}
-
-    metrics = [
-        "mean latency (ms)",
-        "p95 latency (ms)",
-        "throughput (msg/s)",
-        "network messages",
-        "network MB",
-        "fail-signals",
-    ]
-    series = {}
-    for system, result in results.items():
-        series[system] = [
-            result.latency.mean,
-            result.latency.p95,
-            result.throughput_msgs_per_s,
-            float(result.network_messages),
-            result.network_bytes / 1e6,
-            float(result.fail_signals),
-        ]
-    print(
-        format_series_table(
-            f"Ordering experiment: {args.members} members, "
-            f"{args.messages} msgs/member @ {args.interval:.0f}ms, "
-            f"{args.size}B payloads, service={args.service}",
-            "metric",
-            metrics,
-            series,
+    if obs_port:
+        parser.add_argument(
+            "--obs-port",
+            type=int,
+            help="force observability on and, with --transport asyncio, serve "
+            "GET /metrics on this port during the run (0 = pick a free one)",
         )
-    )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -442,9 +343,10 @@ def _resolve_scenario(args: argparse.Namespace):
     return scenario, systems
 
 
-def _cmd_list(family: str | None = None) -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments import scenarios
 
+    family = args.family
     catalogue = scenarios()
     if family is not None:
         catalogue = [
@@ -645,150 +547,110 @@ def _print_results(scenario, records) -> None:
     _print_summary(scenario, records)
 
 
-def _apply_shard_override(scenario, systems, args):
-    """The ``repro run --shards`` overlay: re-base the scenario on a
-    ShardSpec.  Returns the (possibly rewritten) scenario, or ``None``
-    after printing an error.  Sweep points that set their own ``shard``
-    (the scale_shard family) still win over the overlay."""
-    import dataclasses as _dataclasses
+# ----------------------------------------------------------------------
+# the overlay flags shared by run, audit, serve and obs
+# ----------------------------------------------------------------------
+def _fs_newtop_only(flag: str, systems) -> dict:
+    """Reject ``systems`` other than fs-newtop for ``flag``; with a
+    non-empty ``systems`` the overlaid spec is re-based on fs-newtop."""
+    others = [s for s in systems if s != "fs-newtop"]
+    if others:
+        raise ValueError(
+            f"{flag} applies to fs-newtop runs only; drop "
+            f"{', '.join(others)} with --systems fs-newtop"
+        )
+    return {"system": "fs-newtop"} if systems else {}
 
+
+def _shard_overlay(args, spec, systems) -> dict:
     from repro.experiments import ShardSpec
 
-    chosen = systems if systems else scenario.systems
-    not_fs = [s for s in chosen if s != "fs-newtop"]
-    if not_fs:
-        print(
-            f"error: --shards needs fs-newtop runs only; drop "
-            f"{', '.join(not_fs)} with --systems fs-newtop"
-        )
-        return None
-    base_shard = scenario.base.shard
-    ratio = args.cross_shard_ratio
+    ratio = getattr(args, "cross_shard_ratio", None)
+    if getattr(args, "shards", None) is None:
+        if ratio is not None:
+            raise ValueError("--cross-shard-ratio needs --shards")
+        return {}
+    overrides = _fs_newtop_only("--shards", systems)
+    base = spec.shard
     if ratio is None:
-        ratio = base_shard.cross_shard_ratio if base_shard is not None else 0.0
-    keyspace = base_shard.keyspace if base_shard is not None else 64
-    try:
-        shard = ShardSpec(
-            shards=args.shards, cross_shard_ratio=ratio, keyspace=keyspace
+        ratio = base.cross_shard_ratio if base is not None else 0.0
+    shard = ShardSpec(
+        shards=args.shards,
+        cross_shard_ratio=ratio,
+        keyspace=base.keyspace if base is not None else 64,
+    )
+    if spec.n_members % shard.shards:
+        raise ValueError(
+            f"{spec.n_members} members are not divisible into {shard.shards} shards"
         )
-        base = scenario.base.replace(system="fs-newtop", shard=shard)
-        if base.n_members % shard.shards:
-            raise ValueError(
-                f"scenario {scenario.name!r} has {base.n_members} members, "
-                f"not divisible into {shard.shards} shards"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return None
-    return _dataclasses.replace(scenario, base=base)
+    return {**overrides, "shard": shard}
 
 
-def _with_obs_port(spec, port: int):
-    """The ``--obs-port`` overlay: force observability onto a spec.
-
-    An explicit flag opts measurement runs in (they are un-instrumented
-    by default so the perf gate sees the obs-disabled stack); on a live
-    transport it also picks the ``GET /metrics`` bind port."""
-    import dataclasses as _dataclasses
-
-    from repro.experiments.spec import ObsSpec
-
-    if spec.obs is not None:
-        return spec.replace(
-            obs=_dataclasses.replace(spec.obs, enabled=True, http_port=port)
-        )
-    return spec.replace(obs=ObsSpec(http_port=port))
-
-
-def _check_obs_port(port: int | None) -> bool:
-    if port is not None and not 0 <= port <= 65535:
-        print(f"error: --obs-port must be in [0, 65535], got {port}")
-        return False
-    return True
-
-
-def _parse_transport_override(args):
-    """The ``--transport`` overlay: build the TransportSpec the flags
-    describe.  Returns ``(ok, spec_or_None)``; prints an error and
-    returns ``(False, None)`` on a bad combination."""
+def _transport_overlay(args, spec, systems) -> dict:
     from repro.experiments.spec import TransportSpec
 
     if args.transport is None:
         if args.tcp or args.time_scale is not None or args.no_calibrate:
-            print("error: --tcp/--time-scale/--no-calibrate need --transport asyncio")
-            return False, None
-        return True, None
-    try:
-        spec = TransportSpec(
-            kind=args.transport,
-            tcp=args.tcp,
-            time_scale=args.time_scale if args.time_scale is not None else 1.0,
-            calibrate=not args.no_calibrate,
+            raise ValueError("--tcp/--time-scale/--no-calibrate need --transport asyncio")
+        return {}
+    transport = TransportSpec(
+        kind=args.transport,
+        tcp=args.tcp,
+        time_scale=args.time_scale if args.time_scale is not None else 1.0,
+        calibrate=not args.no_calibrate,
+    )
+    if transport.live and "pbft" in systems:
+        raise ValueError(
+            "--transport asyncio cannot drive pbft; drop it with "
+            "--systems (e.g. --systems fs-newtop)"
         )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return False, None
-    return True, spec
+    return {"transport": transport}
 
 
-def _parse_crypto_override(args):
-    """The ``--crypto`` overlay: build the CryptoSpec the flag
-    describes (``PROVIDER`` or ``PROVIDER:CODEC``).  Returns
-    ``(ok, spec_or_None)``; prints an error and returns
-    ``(False, None)`` on an unknown provider or codec."""
+def _crypto_overlay(args, spec, systems) -> dict:
     from repro.crypto.provider import DEFAULT_CODEC, CryptoSpec
 
     if args.crypto is None:
-        return True, None
+        return {}
     provider, sep, codec = args.crypto.partition(":")
-    try:
-        spec = CryptoSpec(
-            provider=provider, codec=codec if sep else DEFAULT_CODEC
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return False, None
-    return True, spec
+    crypto = CryptoSpec(provider=provider, codec=codec if sep else DEFAULT_CODEC)
+    return {**_fs_newtop_only("--crypto", systems), "crypto": crypto}
 
 
-def _apply_crypto_override(scenario, systems, crypto):
-    """Pin every grid cell of a scenario to a CryptoSpec.  The provider
-    seam lives in the fs-newtop stack only, so a mixed scenario needs a
-    ``--systems`` subset first."""
-    import dataclasses as _dataclasses
+def _obs_overlay(args, spec, systems) -> dict:
+    """An explicit port opts measurement runs in (they are
+    un-instrumented by default so the perf gate sees the obs-disabled
+    stack); on a live transport it also picks the ``GET /metrics``
+    bind port."""
+    from repro.experiments.spec import ObsSpec
 
-    chosen = systems if systems else scenario.systems
-    not_fs = [s for s in chosen if s != "fs-newtop"]
-    if not_fs:
-        print(
-            f"error: --crypto applies to fs-newtop runs only; drop "
-            f"{', '.join(not_fs)} with --systems fs-newtop"
-        )
-        return None
-    try:
-        base = scenario.base.replace(system="fs-newtop", crypto=crypto)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return None
-    return _dataclasses.replace(scenario, base=base)
+    port = getattr(args, "obs_port", None)
+    if port is None:
+        return {}
+    if not 0 <= port <= 65535:
+        raise ValueError(f"--obs-port must be in [0, 65535], got {port}")
+    if spec.obs is None:
+        return {"obs": ObsSpec(http_port=port)}
+    return {"obs": dataclasses.replace(spec.obs, enabled=True, http_port=port)}
 
 
-def _apply_transport_override(scenario, systems, transport):
-    """Pin every grid cell of a scenario to a TransportSpec.  The live
-    backends only drive the ordering systems, so a scenario that also
-    runs pbft needs a ``--systems`` subset first."""
-    import dataclasses as _dataclasses
+#: The overlays, in the order their flags are checked.  Each reads only
+#: the flags its command registers (absent ones read as unset).
+OVERLAYS = (_shard_overlay, _transport_overlay, _crypto_overlay, _obs_overlay)
 
-    chosen = systems if systems else scenario.systems
-    if transport.live and "pbft" in chosen:
-        print(
-            "error: --transport asyncio cannot drive pbft; drop it with "
-            "--systems (e.g. --systems fs-newtop)"
-        )
-        return None
-    return _dataclasses.replace(
-        scenario, base=scenario.base.replace(transport=transport)
-    )
+
+def overlay_overrides(args: argparse.Namespace, spec, systems=()) -> dict:
+    """The ``spec.replace(**overrides)`` the ``--shards``,
+    ``--transport``, ``--crypto`` and ``--obs-port`` flags ask for.
+
+    ``systems`` are the systems the overlaid spec will run as (a
+    scenario's grid under ``repro run``); each overlay rejects the ones
+    it cannot drive.  Raises ``ValueError`` with the user-facing message
+    on a bad value or combination."""
+    overrides: dict = {}
+    for overlay in OVERLAYS:
+        overrides.update(overlay(args, spec, systems))
+    return overrides
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -798,35 +660,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if resolved is None:
         return 2
     scenario, systems = resolved
-    if args.shards is not None:
-        scenario = _apply_shard_override(scenario, systems, args)
-        if scenario is None:
-            return 2
-    elif args.cross_shard_ratio is not None:
-        print("error: --cross-shard-ratio needs --shards")
+    # The overlay re-bases the scenario; sweep points that set their
+    # own field (e.g. the scale_shard family's ``shard``) still win.
+    try:
+        overrides = overlay_overrides(args, scenario.base, systems or scenario.systems)
+        scenario = dataclasses.replace(scenario, base=scenario.base.replace(**overrides))
+    except ValueError as exc:
+        print(f"error: {exc}")
         return 2
-    ok, transport = _parse_transport_override(args)
-    if not ok:
-        return 2
-    if transport is not None:
-        scenario = _apply_transport_override(scenario, systems, transport)
-        if scenario is None:
-            return 2
-    ok, crypto = _parse_crypto_override(args)
-    if not ok:
-        return 2
-    if crypto is not None:
-        scenario = _apply_crypto_override(scenario, systems, crypto)
-        if scenario is None:
-            return 2
-    if not _check_obs_port(args.obs_port):
-        return 2
-    if args.obs_port is not None:
-        import dataclasses as _dataclasses
-
-        scenario = _dataclasses.replace(
-            scenario, base=_with_obs_port(scenario.base, args.obs_port)
-        )
     campaign = Campaign(scenario, repeats=1, base_seed=args.seed, systems=systems)
     try:
         records = campaign.execute(jobs=args.jobs)
@@ -908,8 +749,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.adversary import PRESETS
     from repro.adversary.engine import AdversaryWiringError
     from repro.experiments import audit_scenario
@@ -938,13 +777,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: bad adversary override: {exc}")
             return 2
-    ok, transport = _parse_transport_override(args)
-    if not ok:
-        return 2
-    ok, crypto = _parse_crypto_override(args)
-    if not ok:
-        return 2
-    if not _check_obs_port(args.obs_port):
+    try:
+        overlay_overrides(args, scenario.base)  # reject bad flags before any run
+    except ValueError as exc:
+        print(f"error: {exc}")
         return 2
     config = AuditConfig(detection_deadline_ms=args.deadline)
 
@@ -971,19 +807,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 )
                 return 2
             spec = spec.replace(adversaries=spec.adversaries + (overlay,))
-        if crypto is not None:
-            if system != "fs-newtop":
-                print(
-                    f"note: skipping {system} at {scenario.sweep_axis}={x_label} "
-                    f"(--crypto drives the fs-newtop signing stack only)"
-                )
-                continue
-            spec = spec.replace(crypto=crypto)
-        if transport is not None:
-            spec = spec.replace(transport=transport)
-        if args.obs_port is not None:
-            spec = _with_obs_port(spec, args.obs_port)
-        spec = spec.replace(seed=spec.seed + args.seed)
+        if args.crypto is not None and system != "fs-newtop":
+            print(
+                f"note: skipping {system} at {scenario.sweep_axis}={x_label} "
+                f"(--crypto drives the fs-newtop signing stack only)"
+            )
+            continue
+        spec = spec.replace(seed=spec.seed + args.seed, **overlay_overrides(args, spec))
         try:
             run = audit_scenario(spec, config=config, scenario=scenario.name)
         except AdversaryWiringError as exc:
@@ -1007,7 +837,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments import ShardSpec, UnknownScenarioError, get_scenario
+    from repro.experiments import UnknownScenarioError, get_scenario
     from repro.experiments.spec import ScenarioSpec, TransportSpec
     from repro.service.serve import build_server, describe
 
@@ -1023,36 +853,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     else:
         spec = ScenarioSpec(system="fs-newtop", n_members=4)
-    ok, transport = _parse_transport_override(args)
-    if not ok:
-        return 2
-    if transport is None:
-        transport = TransportSpec(kind="asyncio")
-    elif not transport.live:
-        print("error: repro serve needs a live transport (--transport asyncio)")
-        return 2
-    ok, crypto = _parse_crypto_override(args)
-    if not ok:
-        return 2
     try:
-        overrides: dict = {"transport": transport, "seed": spec.seed + args.seed}
-        if crypto is not None:
-            overrides["crypto"] = crypto
-        if args.shards is not None:
-            base_shard = spec.shard
-            overrides["shard"] = ShardSpec(
-                shards=args.shards,
-                cross_shard_ratio=(
-                    base_shard.cross_shard_ratio if base_shard is not None else 0.0
-                ),
-                keyspace=base_shard.keyspace if base_shard is not None else 64,
-            )
-            if spec.n_members % args.shards:
-                raise ValueError(
-                    f"{spec.n_members} members do not divide into "
-                    f"{args.shards} shards"
-                )
-        spec = spec.replace(**overrides)
+        overrides = overlay_overrides(args, spec)
+        transport = overrides.setdefault("transport", TransportSpec(kind="asyncio"))
+        if not transport.live:
+            raise ValueError("repro serve needs a live transport (--transport asyncio)")
+        spec = spec.replace(seed=spec.seed + args.seed, **overrides)
         handle = build_server(spec, host=args.host, port=args.port)
     except ValueError as exc:
         print(f"error: {exc}")
@@ -1087,14 +893,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     import json
 
     if args.url is not None:
-        if (
-            args.transport is not None
-            or args.tcp
-            or args.time_scale is not None
-            or args.no_calibrate
-            or args.obs_port is not None
-            or args.crypto is not None
-        ):
+        flags = ("transport", "tcp", "time_scale", "no_calibrate", "obs_port", "crypto")
+        if any(getattr(args, flag) not in (None, False) for flag in flags):
             print(
                 "error: transport/--obs-port/--crypto flags apply to "
                 "--scenario mode only"
@@ -1128,25 +928,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         except UnknownScenarioError as exc:
             print(f"error: {exc}")
             return 2
-        ok, transport = _parse_transport_override(args)
-        if not ok:
+        base = scenario.base
+        try:
+            spec = base.replace(seed=base.seed + args.seed, **overlay_overrides(args, base))
+        except ValueError as exc:
+            print(f"error: {exc}")
             return 2
-        ok, crypto = _parse_crypto_override(args)
-        if not ok:
-            return 2
-        if not _check_obs_port(args.obs_port):
-            return 2
-        spec = scenario.base.replace(seed=scenario.base.seed + args.seed)
-        if transport is not None:
-            spec = spec.replace(transport=transport)
-        if crypto is not None:
-            try:
-                spec = spec.replace(crypto=crypto)
-            except ValueError as exc:
-                print(f"error: {exc}")
-                return 2
-        if args.obs_port is not None:
-            spec = _with_obs_port(spec, args.obs_port)
         document = observe_spec(spec, scenario=scenario.name)
     payload = json.dumps(document, indent=2, sort_keys=True)
     if args.out:
@@ -1200,29 +987,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        import sys
+COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "campaign": _cmd_campaign,
+    "report": _cmd_report,
+    "bench": _cmd_bench,
+    "audit": _cmd_audit,
+    "serve": _cmd_serve,
+    "obs": _cmd_obs,
+}
 
-        argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        args = build_command_parser().parse_args(argv)
-        if args.command == "list":
-            return _cmd_list(args.family)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "campaign":
-            return _cmd_campaign(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
-        return _cmd_report(args)
-    return _legacy_main(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_command_parser().parse_args(argv)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

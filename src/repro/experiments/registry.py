@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.adversary.spec import AdversarySpec, both, intermittent, seq
+from repro.adversary.spec import FLAG_STRATEGIES, AdversarySpec, both, intermittent, seq
 from repro.app.spec import AppSpec
 from repro.crypto.provider import CryptoSpec
 from repro.experiments.spec import (
@@ -289,16 +289,13 @@ register(
         ),
         systems=("fs-newtop",),
         sweep_axis="fault",
+        # Each point is labelled by the FaultPlan flag its strategy sets.
         sweep=tuple(
             SweepPoint(
-                label=flag,
-                overrides={
-                    "faults": (
-                        FaultEvent(at=300.0, kind="byzantine", member=0, flags=(flag,)),
-                    )
-                },
+                label=FLAG_STRATEGIES[kind][0],
+                overrides={"adversaries": (AdversarySpec(kind=kind, at=300.0, member=0),)},
             )
-            for flag in ("corrupt_outputs", "mute_lan", "forge_signature")
+            for kind in ("corrupt", "mute", "tamper_signature")
         ),
     )
 )

@@ -36,7 +36,6 @@ from repro.baselines.pbft import PbftCluster
 from repro.invariants import AuditConfig, AuditReport, InvariantMonitor, topology_of
 from repro.perf import clear_caches, gc_paused
 from repro.core.config import FsoConfig
-from repro.core.fso import FsoRole
 from repro.crypto.costmodel import CryptoCostModel
 from repro.experiments.spec import ObsSpec, ScenarioSpec
 from repro.fsnewtop.system import ByzantineTolerantGroup
@@ -113,7 +112,6 @@ def _apply_fault(group: AnyGroup, event, app_runtime=None) -> None:
         "faultplan",
         kind=event.kind,
         member=event.member,
-        flags=list(event.flags),
         groups=[list(g) for g in event.groups],
         rejoin_at=event.rejoin_at,
     )
@@ -143,11 +141,6 @@ def _apply_fault(group: AnyGroup, event, app_runtime=None) -> None:
         group.network.partition(*groups)
     elif event.kind == "heal":
         group.network.heal()
-    elif event.kind == "byzantine":
-        if not isinstance(group, ByzantineTolerantGroup):
-            raise ValueError("byzantine faults need the fs-newtop system")
-        fso = group.byzantine_fso(event.member, FsoRole.LEADER)
-        fso.go_byzantine(**{flag: True for flag in event.flags})
     else:  # pragma: no cover - FaultEvent validates kinds
         raise ValueError(f"unknown fault kind {event.kind!r}")
 
@@ -585,10 +578,6 @@ def _run_pbft(spec: ScenarioSpec) -> dict[str, float]:
     for event in spec.faults:
         if event.kind == "crash":
             sim.schedule(event.at, cluster.crash, cluster.replica_ids[event.member])
-        elif event.kind == "byzantine":
-            sim.schedule(
-                event.at, cluster.make_byzantine_silent, cluster.replica_ids[event.member]
-            )
         elif event.kind == "partition":
             groups = [
                 [cluster.replica_ids[i] for i in g] for g in event.groups

@@ -41,7 +41,6 @@ FAULT_KINDS = (
     "crash_recover",
     "partition",
     "heal",
-    "byzantine",
 )
 
 
@@ -284,17 +283,16 @@ class FaultEvent:
       scenario; the ordering pair itself stays excluded);
     * ``partition`` -- split the network into ``groups`` (tuples of
       member indices) at ``at`` ms;
-    * ``heal`` -- remove every partition at ``at`` ms;
-    * ``byzantine`` -- switch on the named fault ``flags`` (see
-      :class:`repro.core.faults.FaultPlan`) in ``member``'s leader
-      wrapper (FS-NewTOP) or silence the replica (PBFT).
+    * ``heal`` -- remove every partition at ``at`` ms.
+
+    Byzantine behaviour is not a fault kind: it is an
+    :class:`~repro.adversary.spec.AdversarySpec` on the scenario.
     """
 
     at: float
     kind: str
     member: int | None = None
     groups: tuple[tuple[int, ...], ...] = ()
-    flags: tuple[str, ...] = ()
     rejoin_at: float | None = None
 
     def __post_init__(self) -> None:
@@ -319,7 +317,6 @@ class FaultEvent:
             "kind": self.kind,
             "member": self.member,
             "groups": [list(g) for g in self.groups],
-            "flags": list(self.flags),
             "rejoin_at": self.rejoin_at,
         }
 
@@ -330,7 +327,6 @@ class FaultEvent:
             kind=data["kind"],
             member=data.get("member"),
             groups=tuple(tuple(g) for g in data.get("groups", ())),
-            flags=tuple(data.get("flags", ())),
             rejoin_at=data.get("rejoin_at"),
         )
 
@@ -433,14 +429,10 @@ class ScenarioSpec:
     @property
     def byzantine_members(self) -> tuple[int, ...]:
         """Members needing a :class:`ByzantineFso` wrapper pre-built:
-        those named by ``byzantine`` fault events plus the targets of
-        every FaultPlan-backed adversary strategy."""
-        members = {
-            e.member for e in self.faults if e.kind == "byzantine" and e.member is not None
-        }
-        for adversary in self.adversaries:
-            members.update(adversary.flag_members())
-        return tuple(sorted(members))
+        the targets of every FaultPlan-backed adversary strategy."""
+        return tuple(
+            sorted({m for adversary in self.adversaries for m in adversary.flag_members()})
+        )
 
     def replace(self, **overrides: typing.Any) -> "ScenarioSpec":
         """A copy with the given fields replaced."""

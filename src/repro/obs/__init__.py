@@ -1,4 +1,4 @@
-"""Runtime observability: metrics, spans, exposition, flight recorder.
+"""Runtime observability: metrics, the hub, exposition, flight recorder.
 
 The paper's fail-signal contract is an *operational* claim -- failures
 are detected and signalled within measured deadlines -- so a production
@@ -10,7 +10,7 @@ This package is that substrate:
   histograms in a :class:`MetricsRegistry`; zero-cost when disabled
   (the ``TraceRecorder`` no-op idiom);
 * :mod:`repro.obs.spans` -- the :class:`ObsHub` of pre-built
-  instruments riding on the run's clock, plus timing :class:`Span`;
+  instruments riding on the run's clock;
 * :mod:`repro.obs.prom` -- Prometheus text exposition (``GET
   /metrics``) and its strict parser;
 * :mod:`repro.obs.flight` -- the :class:`FlightRecorder`, bounded
@@ -36,7 +36,6 @@ from repro.obs.prom import CONTENT_TYPE, parse, render
 from repro.obs.spans import (
     DISABLED_HUB,
     ObsHub,
-    Span,
     hub_of,
     install_hub,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsHub",
-    "Span",
     "hub_of",
     "install_hub",
     "merge_histograms",

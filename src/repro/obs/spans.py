@@ -1,4 +1,4 @@
-"""The instrumentation half of :mod:`repro.obs`: the hub and spans.
+"""The instrumentation half of :mod:`repro.obs`: the hub.
 
 An :class:`ObsHub` pre-builds every instrument the protocol stack
 observes into -- signing/verification/countersignature stage latencies
@@ -30,30 +30,6 @@ from repro.obs.metrics import (
 
 #: Protocol stages with per-scheme latency histograms.
 STAGES = ("sign", "verify", "countersign")
-
-
-class Span:
-    """One timed section: observes ``clock.now`` deltas on exit.
-
-    Durations are in the clock's own unit (virtual ms on the simulator,
-    wall-derived virtual ms on the asyncio transport), so the histogram
-    never reads wall time itself.
-    """
-
-    __slots__ = ("_histogram", "_clock", "_start")
-
-    def __init__(self, histogram: Histogram, clock: typing.Any) -> None:
-        self._histogram = histogram
-        self._clock = clock
-        self._start = 0.0
-
-    def __enter__(self) -> "Span":
-        self._start = self._clock.now
-        return self
-
-    def __exit__(self, *exc: typing.Any) -> bool:
-        self._histogram.observe(self._clock.now - self._start)
-        return False
 
 
 class ObsHub:
@@ -160,9 +136,6 @@ class ObsHub:
             self._admission[outcome] = counter
         return counter
 
-    def span(self, histogram: Histogram, clock: typing.Any) -> Span:
-        return Span(histogram, clock)
-
     # -- summaries ------------------------------------------------------
     def summary_metrics(self) -> dict[str, float]:
         """Histogram summaries flattened for the runner's metrics dict.
@@ -219,7 +192,6 @@ __all__ = [
     "Gauge",
     "ObsHub",
     "STAGES",
-    "Span",
     "hub_of",
     "install_hub",
 ]

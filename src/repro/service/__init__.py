@@ -12,9 +12,8 @@ The layering, bottom-up:
   closed-loop client fleet that drives a gateway in-process (the thing
   ``gateway=`` on a :class:`~repro.experiments.spec.ScenarioSpec` runs);
 * :mod:`repro.service.http` -- the stdlib asyncio HTTP/1.1 + SSE front
-  end ``repro serve`` binds (no third-party dependencies);
-* :mod:`repro.service.app` -- an optional FastAPI adapter, import-gated
-  behind the ``repro[service]`` extra.
+  end ``repro serve`` binds, and the service's only HTTP server (no
+  third-party dependencies).
 """
 
 from repro.service.auth import ApiKeyRegistry, derive_key

@@ -2,9 +2,8 @@
 
 ``repro serve`` binds this server; it speaks just enough HTTP for the
 service's four endpoints and streams the delivery feed as server-sent
-events, using nothing beyond the standard library (the optional FastAPI
-adapter in :mod:`repro.service.app` offers the same surface for
-deployments that install the ``repro[service]`` extra).
+events, using nothing beyond the standard library.  It is the
+service's only HTTP server.
 
 Endpoints (all JSON):
 

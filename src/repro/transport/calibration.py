@@ -214,9 +214,10 @@ def probe_tcp_lag(
                 await flooder
             except asyncio.CancelledError:
                 pass
+            # Closing the client ends each echo handler at EOF, its clean
+            # exit; cancelling them instead makes asyncio's stream
+            # protocol log the CancelledError on stderr.
             writer.close()
-            for handler in handlers:
-                handler.cancel()
             await asyncio.gather(*handlers, return_exceptions=True)
             server.close()
             await server.wait_closed()

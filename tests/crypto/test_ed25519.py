@@ -33,7 +33,8 @@ from repro.crypto.provider import (
     provider_names,
 )
 from repro.crypto.costmodel import PROVIDER_COSTS, CryptoCostModel
-from repro.experiments import FaultEvent, ScenarioSpec, audit_scenario
+from repro.adversary import AdversarySpec
+from repro.experiments import ScenarioSpec, audit_scenario
 
 needs_ed25519 = pytest.mark.skipif(
     not HAVE_ED25519, reason="needs the fastcrypto extra (cryptography)"
@@ -197,9 +198,8 @@ BASE = ScenarioSpec(
 @needs_ed25519
 @pytest.mark.parametrize("flag", ["forge_signature", "equivocate"])
 def test_forgery_still_detected_under_ed25519(flag):
-    spec = BASE.replace(
-        faults=(FaultEvent(at=150.0, kind="byzantine", member=0, flags=(flag,)),)
-    )
+    kind = {"forge_signature": "tamper_signature", "equivocate": "equivocate"}[flag]
+    spec = BASE.replace(adversaries=(AdversarySpec(kind=kind, at=150.0, member=0),))
     run = audit_scenario(spec, scenario=f"ed25519/{flag}")
     # the no-forgery / completeness oracles fire against real ed25519
     # signatures, not just the pure-python reference

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adversary import AdversarySpec
 from repro.experiments import DelaySpec, FaultEvent, ScenarioSpec
 from repro.net import ConstantDelay, ExponentialDelay, SpikeDelay, UniformDelay
 
@@ -57,7 +58,7 @@ def test_scenario_spec_roundtrip_with_faults():
         n_members=5,
         delay=DelaySpec(kind="exponential", floor=0.1, mean=2.0, cap=10.0),
         faults=(
-            FaultEvent(at=100.0, kind="byzantine", member=1, flags=("corrupt_outputs",)),
+            FaultEvent(at=100.0, kind="partition", groups=((0, 1), (2, 3, 4))),
             FaultEvent(at=200.0, kind="heal"),
         ),
         crypto_scale=2.0,
@@ -66,15 +67,22 @@ def test_scenario_spec_roundtrip_with_faults():
 
 
 def test_byzantine_members_derived_from_fault_plan():
+    # Byzantine behaviour comes from adversaries only; a crash fault
+    # needs no ByzantineFso wrapper.
     spec = ScenarioSpec(
         system="fs-newtop",
-        faults=(
-            FaultEvent(at=10.0, kind="byzantine", member=2, flags=("mute_lan",)),
-            FaultEvent(at=20.0, kind="byzantine", member=0, flags=("mute_lan",)),
-            FaultEvent(at=30.0, kind="crash", member=1),
+        faults=(FaultEvent(at=30.0, kind="crash", member=1),),
+        adversaries=(
+            AdversarySpec(kind="mute", at=10.0, member=2),
+            AdversarySpec(kind="mute", at=20.0, member=0),
         ),
     )
     assert spec.byzantine_members == (0, 2)
+
+
+def test_byzantine_is_not_a_fault_kind():
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        FaultEvent(at=10.0, kind="byzantine", member=0)
 
 
 def test_replace_returns_modified_copy():

@@ -74,9 +74,8 @@ FAULTS = st.lists(
         st.builds(
             FaultEvent,
             at=st.floats(0.0, 5000.0),
-            kind=st.just("byzantine"),
-            member=st.integers(0, 3),
-            flags=st.just(("corrupt_outputs",)),
+            kind=st.just("partition"),
+            groups=st.just(((0, 1), (2, 3))),
         ),
         st.builds(FaultEvent, at=st.floats(0.0, 5000.0), kind=st.just("heal")),
     ),

@@ -6,7 +6,8 @@ audit)."""
 import pytest
 
 from repro.core.fso import Fso, FsoRole
-from repro.experiments import FaultEvent, ScenarioSpec, audit_scenario
+from repro.adversary import FLAG_STRATEGIES, AdversarySpec
+from repro.experiments import ScenarioSpec, audit_scenario
 from repro.experiments.runner import build_ordering_group
 from repro.invariants import InvariantMonitor, topology_of
 from repro.sim import Simulator
@@ -34,9 +35,13 @@ ALL_FLAGS = (
 )
 
 
+#: The adversary strategy that sets each flag (FLAG_STRATEGIES is 1:1).
+STRATEGY_OF = {flags[0]: kind for kind, flags in FLAG_STRATEGIES.items()}
+
+
 def _audit_with_flag(flag):
     spec = BASE.replace(
-        faults=(FaultEvent(at=150.0, kind="byzantine", member=0, flags=(flag,)),)
+        adversaries=(AdversarySpec(kind=STRATEGY_OF[flag], at=150.0, member=0),)
     )
     return audit_scenario(spec, scenario=f"flag/{flag}")
 

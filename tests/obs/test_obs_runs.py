@@ -11,8 +11,9 @@ import pathlib
 import pytest
 
 from repro.experiments import audit_scenario, observe_spec, run_scenario
-from repro.experiments.spec import FaultEvent, ObsSpec, ScenarioSpec
-from repro.obs import DISABLED_HUB, ObsHub, Span, hub_of, install_hub
+from repro.adversary import AdversarySpec
+from repro.experiments.spec import ObsSpec, ScenarioSpec
+from repro.obs import DISABLED_HUB, ObsHub, hub_of, install_hub
 from repro.obs.flight import BUNDLE_EVENTS, BUNDLE_MANIFEST
 
 
@@ -72,19 +73,6 @@ def test_disabled_hub_instruments_do_nothing():
     assert DISABLED_HUB.sign_histogram("AnyScheme").count == 0
 
 
-def test_span_observes_clock_delta():
-    class Clock:
-        now = 10.0
-
-    clock = Clock()
-    hub = ObsHub()
-    histogram = hub.sign_histogram("S")
-    with Span(histogram, clock):
-        clock.now = 12.5
-    assert histogram.count == 1
-    assert histogram.total == 2.5
-
-
 def test_summary_metrics_skips_untouched_subsystems():
     hub = ObsHub()
     assert hub.summary_metrics() == {}
@@ -124,11 +112,7 @@ def test_obsspec_disabled_wins_over_audit_default():
 
 def test_fail_signal_dumps_flight_bundle(tmp_path):
     spec = small_spec(
-        faults=(
-            FaultEvent(
-                at=200.0, kind="byzantine", member=0, flags=("corrupt_outputs",)
-            ),
-        ),
+        adversaries=(AdversarySpec(kind="corrupt", at=200.0, member=0),),
         obs=ObsSpec(http_port=None, flight_dir=str(tmp_path)),
     )
     run = audit_scenario(spec, scenario="obs_viol")

@@ -2,37 +2,21 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 
-def test_single_system_run(capsys):
-    assert main(["--system", "newtop", "--members", "3", "--messages", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "newtop" in out
-    assert "throughput (msg/s)" in out
+def test_legacy_flags_are_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--compare", "--members", "2"])
+    assert excinfo.value.code == 2
 
 
-def test_compare_mode(capsys):
-    code = main(["--compare", "--members", "2", "--messages", "2", "--interval", "200"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "newtop" in out and "fs-newtop" in out
-
-
-def test_bad_members_rejected(capsys):
-    assert main(["--members", "0"]) == 2
-
-
-def test_parser_defaults():
-    args = build_parser().parse_args([])
-    assert args.system == "fs-newtop"
-    assert args.members == 4
-    assert args.service == "symmetric_total"
-
-
-def test_invalid_service_rejected():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--service", "warp"])
+def test_serve_has_no_obs_port_flag(capsys):
+    # The gateway serves GET /metrics on its own port.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--obs-port", "9464"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --obs-port" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -315,3 +299,164 @@ def test_audit_bad_overlay_overrides_rejected_cleanly(capsys):
     assert main(["audit", "--scenario", "adv_clean_baseline",
                  "--adversary", "mute", "--at", "-5"]) == 2
     assert "bad adversary override" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# flag overlays: the spec each command builds from --shards,
+# --transport, --crypto and --obs-port, captured at the execution seam
+# ----------------------------------------------------------------------
+@pytest.fixture
+def captured_specs(monkeypatch):
+    """Stub the four execution seams; every spec they receive is
+    appended to the returned list instead of being run."""
+    import types
+
+    from repro import experiments
+    from repro.service import serve
+
+    specs = []
+
+    def execute(self, jobs=1, store=None):
+        specs.extend(task.spec for task in self.plan())
+        return []
+
+    def audit(spec, config=None, scenario=None):
+        specs.append(spec)
+        report = types.SimpleNamespace(ok=True, render=lambda: "verdict: PASS")
+        return types.SimpleNamespace(report=report, flight_bundle=None)
+
+    def observe(spec, scenario=None):
+        specs.append(spec)
+        return {}
+
+    def build(spec, host="127.0.0.1", port=0):
+        specs.append(spec)
+        clock = types.SimpleNamespace(add_starter=lambda starter: None)
+        return types.SimpleNamespace(clock=clock, run=lambda until_ms: None)
+
+    monkeypatch.setattr(experiments.Campaign, "execute", execute)
+    monkeypatch.setattr(experiments, "audit_scenario", audit)
+    monkeypatch.setattr(experiments, "observe_spec", observe)
+    monkeypatch.setattr(serve, "build_server", build)
+    monkeypatch.setattr(serve, "describe", lambda handle: "ordering service")
+    return specs
+
+
+def _overlaid(spec):
+    """The overlay-relevant fields of a spec, as plain values."""
+    transport = spec.transport
+    shard = spec.shard
+    return {
+        "system": spec.system,
+        "transport": None if transport is None else (
+            transport.kind, transport.tcp, transport.time_scale, transport.calibrate
+        ),
+        "crypto": None if spec.crypto is None else (spec.crypto.provider, spec.crypto.codec),
+        "obs": None if spec.obs is None else (spec.obs.enabled, spec.obs.http_port),
+        "shard": None if shard is None else (
+            shard.shards, shard.cross_shard_ratio, shard.keyspace
+        ),
+    }
+
+
+def _fields(system="fs-newtop", transport=None, crypto=None, obs=None, shard=None):
+    return {"system": system, "transport": transport, "crypto": crypto,
+            "obs": obs, "shard": shard}
+
+
+LIVE = ("asyncio", False, 1.0, True)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["run", "--scenario", "adv_clean_baseline", "--transport", "asyncio",
+          "--tcp", "--time-scale", "0.5", "--no-calibrate"],
+         [_fields(transport=("asyncio", True, 0.5, False))]),
+        (["run", "--scenario", "adv_clean_baseline", "--transport", "sim"],
+         [_fields(transport=("sim", False, 1.0, True))]),
+        (["run", "--scenario", "adv_clean_baseline", "--crypto", "ed25519:binwire"],
+         [_fields(crypto=("ed25519", "binwire"))]),
+        (["run", "--scenario", "adv_clean_baseline", "--crypto", "hmac"],
+         [_fields(crypto=("hmac", "canonical"))]),
+        (["run", "--scenario", "adv_clean_baseline", "--obs-port", "0"],
+         [_fields(obs=(True, 0))]),
+        (["run", "--scenario", "adv_clean_baseline", "--shards", "2"],
+         [_fields(shard=(2, 0.0, 64))]),
+        (["run", "--scenario", "scale_shard_smoke", "--shards", "2",
+          "--cross-shard-ratio", "0.5", "--transport", "asyncio",
+          "--crypto", "rsa", "--obs-port", "9464"],
+         [_fields(transport=LIVE, crypto=("rsa", "canonical"), obs=(True, 9464),
+                  shard=(2, 0.5, 32))]),
+        # Sweep points that set their own field win over the overlay.
+        (["run", "--scenario", "scale_crypto_ab", "--crypto", "hmac:binwire"],
+         [_fields(crypto=c) for c in (("rsa", "canonical"), ("hmac", "canonical"),
+                                      ("ed25519", "canonical"), ("ed25519", "binwire"))]),
+        # audit overlays every expanded cell; --crypto skips the newtop ones.
+        (["audit", "--scenario", "adv_clean_baseline", "--transport", "asyncio",
+          "--crypto", "ed25519", "--obs-port", "0"],
+         [_fields(transport=LIVE, crypto=("ed25519", "canonical"), obs=(True, 0))]),
+        (["audit", "--scenario", "mixed_rw", "--crypto", "hmac:binwire"],
+         [_fields(crypto=("hmac", "binwire"))] * 3),
+        (["audit", "--scenario", "mixed_rw", "--transport", "asyncio", "--tcp"],
+         [_fields(system=s, transport=("asyncio", True, 1.0, True))
+          for s in ("newtop",) * 3 + ("fs-newtop",) * 3]),
+        # serve defaults to the asyncio transport.
+        (["serve", "--for", "0.1"], [_fields(transport=LIVE)]),
+        (["serve", "--for", "0.1", "--transport", "asyncio", "--tcp",
+          "--shards", "2", "--crypto", "ed25519:binwire"],
+         [_fields(transport=("asyncio", True, 1.0, True),
+                  crypto=("ed25519", "binwire"), shard=(2, 0.0, 64))]),
+        (["serve", "--for", "0.1", "--scenario", "scale_shard_smoke", "--shards", "4"],
+         [_fields(transport=LIVE, shard=(4, 0.25, 32))]),
+        (["obs", "--scenario", "adv_clean_baseline"], [_fields()]),
+        (["obs", "--scenario", "adv_clean_baseline", "--transport", "asyncio",
+          "--no-calibrate", "--crypto", "rsa:binwire", "--obs-port", "0"],
+         [_fields(transport=("asyncio", False, 1.0, False),
+                  crypto=("rsa", "binwire"), obs=(True, 0))]),
+    ],
+)
+def test_overlay_flags_shape_the_spec(captured_specs, capsys, argv, expected):
+    assert main(argv) == 0, capsys.readouterr().out
+    assert [_overlaid(spec) for spec in captured_specs] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scenario", "adv_clean_baseline", "--tcp"],
+         "need --transport asyncio"),
+        (["audit", "--scenario", "adv_clean_baseline", "--time-scale", "2"],
+         "need --transport asyncio"),
+        (["serve", "--for", "0.1", "--no-calibrate"], "need --transport asyncio"),
+        (["obs", "--scenario", "adv_clean_baseline", "--tcp"],
+         "need --transport asyncio"),
+        (["run", "--scenario", "adv_clean_baseline", "--crypto", "warp"],
+         "unknown crypto provider 'warp'"),
+        (["audit", "--scenario", "adv_clean_baseline", "--crypto", "hmac:warp"],
+         "unknown signing codec 'warp'"),
+        (["serve", "--for", "0.1", "--crypto", "warp"], "unknown crypto provider"),
+        (["obs", "--scenario", "adv_clean_baseline", "--crypto", "hmac:warp"],
+         "unknown signing codec"),
+        (["run", "--scenario", "adv_clean_baseline", "--obs-port", "70000"],
+         "--obs-port must be in [0, 65535], got 70000"),
+        (["audit", "--scenario", "adv_clean_baseline", "--obs-port", "70000"],
+         "--obs-port must be in [0, 65535]"),
+        (["obs", "--scenario", "adv_clean_baseline", "--obs-port", "-1"],
+         "--obs-port must be in [0, 65535]"),
+        (["run", "--scenario", "adv_clean_baseline", "--shards", "3"],
+         "not divisible"),
+        (["serve", "--for", "0.1", "--shards", "3"], "3 shards"),
+        (["run", "--scenario", "pbft_head_to_head", "--transport", "asyncio"],
+         "cannot drive pbft"),
+        (["run", "--scenario", "fig6_latency", "--crypto", "hmac"],
+         "--crypto applies to fs-newtop runs only"),
+        (["serve", "--for", "0.1", "--transport", "sim"], "needs a live transport"),
+        (["obs", "--url", "http://127.0.0.1:1/metrics", "--crypto", "hmac"],
+         "apply to --scenario mode only"),
+    ],
+)
+def test_overlay_flag_errors_exit_2(captured_specs, capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().out
+    assert captured_specs == []

@@ -8,6 +8,7 @@ measurement runs with tiny sample counts to stay fast.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -113,6 +114,14 @@ def test_probe_tcp_lag_is_nonnegative():
     lags = probe_tcp_lag(samples=3, delay_ms=1.0, payload_bytes=64)
     assert len(lags) == 3
     assert all(lag >= 0.0 for lag in lags)
+
+
+def test_probe_tcp_lag_shuts_down_without_asyncio_errors(caplog):
+    # The echo handlers end at EOF; a cancelled handler would make the
+    # stream protocol log "Exception in callback ... CancelledError".
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        probe_tcp_lag(samples=3, delay_ms=1.0, payload_bytes=64)
+    assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 def test_calibrate_for_tcp_raises_the_floor_and_probes_loaded_lag():
